@@ -29,6 +29,9 @@ class KeystreamCipher:
         if len(key) < 16:
             raise ValueError("encryption keys must be at least 128 bits")
         self._key = bytes(key)
+        # SHA3 state with the key absorbed: each keystream block copies it
+        # and absorbs only its 8-byte index.
+        self._prefix = hashlib.sha3_256(self._key)
 
     @property
     def key(self) -> bytes:
@@ -47,12 +50,14 @@ class KeystreamCipher:
         """
         first_block = start // self.BLOCK
         last_block = (start + length - 1) // self.BLOCK
-        out = bytearray()
+        prefix = self._prefix
+        blocks = []
         for block_index in range(first_block, last_block + 1):
-            out.extend(hashlib.sha3_256(
-                self._key + block_index.to_bytes(8, "little")).digest())
+            block = prefix.copy()
+            block.update(block_index.to_bytes(8, "little"))
+            blocks.append(block.digest())
         offset = start - first_block * self.BLOCK
-        return bytes(out[offset:offset + length])
+        return b"".join(blocks)[offset:offset + length]
 
     def keystream(self, start: int, length: int) -> bytes:
         """The keystream window for absolute positions [start, start+length).
@@ -68,8 +73,10 @@ class KeystreamCipher:
 
         ``tweak`` is the physical byte address in the memory engine.
         """
-        stream = self._keystream(tweak, len(plaintext))
-        return bytes(p ^ s for p, s in zip(plaintext, stream))
+        n = len(plaintext)
+        stream = self._keystream(tweak, n)
+        return (int.from_bytes(plaintext, "little")
+                ^ int.from_bytes(stream, "little")).to_bytes(n, "little")
 
     def decrypt(self, ciphertext: bytes, tweak: int = 0) -> bytes:
         """Decrypt — identical to encrypt for a XOR keystream."""

@@ -7,6 +7,7 @@ provides SHA-3 natively, so these are faithful rather than substituted.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 
@@ -28,9 +29,22 @@ def measure(*chunks: bytes) -> bytes:
     return h.digest()
 
 
+@functools.lru_cache(maxsize=256)
+def _hmac_state(key: bytes) -> hmac.HMAC:
+    """HMAC-SHA3-256 with ``key``'s pads absorbed, ready to ``copy()``.
+
+    The key schedule is a pure function of the key, so one prepared
+    state per key serves every MAC under it; the cache is bounded by key
+    count, never by traffic.
+    """
+    return hmac.new(key, digestmod=hashlib.sha3_256)
+
+
 def keyed_mac(key: bytes, data: bytes) -> bytes:
     """Full-width HMAC-SHA3-256 over ``data``."""
-    return hmac.new(key, data, hashlib.sha3_256).digest()
+    state = _hmac_state(key).copy()
+    state.update(data)
+    return state.digest()
 
 
 def truncated_mac(key: bytes, data: bytes, bits: int = MAC_BITS) -> int:

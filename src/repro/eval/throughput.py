@@ -38,6 +38,7 @@ actually sits in — rather than during first-touch fills.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
@@ -70,6 +71,15 @@ TOLERANCE_FLOOR = 0.25
 
 #: Extra measurement repeats used only to calibrate the noise band.
 CALIBRATION_REPEATS = 2
+
+#: Result fields that depend only on (scenario, seed), never on the
+#: engine or the clock.
+DETERMINISTIC_FIELDS = ("requests", "primitive_cycles", "state_digest")
+
+#: Fresh-platform runs behind every measured rate; the best is kept, as
+#: with ``timeit.repeat``: a shared host only ever slows a run down, and
+#: a fast-engine window is short enough (~0.1 s) for one stall to halve it.
+TIMING_REPEATS = 3
 
 #: Enclave-pool size for throughput scenarios: small enough that the
 #: warm-up rounds cycle every frame (the pool free list is FIFO, so a
@@ -156,7 +166,20 @@ def run_scenario(scenario: Scenario, engine: str,
     The deterministic fields (``requests``, ``primitive_cycles``,
     ``state_digest``) depend only on (scenario, seed) — never on the
     engine or on the clock — and are what the differential gate pins.
+    The rate is the best of :data:`TIMING_REPEATS` runs, each on a fresh
+    platform; the runs must agree on every deterministic field.
     """
+    runs = [_run_once(scenario, engine, seed) for _ in range(TIMING_REPEATS)]
+    for run in runs[1:]:
+        for key in DETERMINISTIC_FIELDS:
+            if run[key] != runs[0][key]:
+                raise RuntimeError(
+                    f"non-deterministic scenario {scenario.name!r} on "
+                    f"{engine}: {key} {runs[0][key]!r} != {run[key]!r}")
+    return max(runs, key=lambda run: run["rps"])
+
+
+def _run_once(scenario: Scenario, engine: str, seed: int) -> dict[str, Any]:
     from repro.core.api import HyperTEE
     from repro.core.config import SystemConfig
     from repro.core.enclave import EnclaveConfig
@@ -172,12 +195,25 @@ def run_scenario(scenario: Scenario, engine: str,
         for _ in range(scenario.warm):
             scenario.body(enclave, data)
         served_before = tee.system.ems_requests_served()
-        # Wall-clock is the measured quantity here, not modelled state:
-        # the simulation's outcome is identical with or without timing.
-        start = time.perf_counter()  # teelint: disable=TEE002 -- host-side benchmark timing, outside the modelled system
-        for _ in range(scenario.timed):
-            scenario.body(enclave, data)
-        elapsed = time.perf_counter() - start  # teelint: disable=TEE002 -- host-side benchmark timing, outside the modelled system
+        # The collector stays off while timing, as in timeit: a full
+        # collection over a large host heap (a long test session's)
+        # pauses for tens of milliseconds, as long as a whole timed
+        # window of the fast engine, and would be charged to whichever
+        # engine it happened to land in.
+        gc.collect()
+        collector_was_on = gc.isenabled()
+        gc.disable()
+        try:
+            # Wall-clock is the measured quantity here, not modelled
+            # state: the simulation's outcome is identical with or
+            # without timing.
+            start = time.perf_counter()  # teelint: disable=TEE002 -- host-side benchmark timing, outside the modelled system
+            for _ in range(scenario.timed):
+                scenario.body(enclave, data)
+            elapsed = time.perf_counter() - start  # teelint: disable=TEE002 -- host-side benchmark timing, outside the modelled system
+        finally:
+            if collector_was_on:
+                gc.enable()
     served = tee.system.ems_requests_served() - served_before
     result = {
         "requests": tee.system.ems_requests_served(),
@@ -201,7 +237,7 @@ def _measure_pair(scenario: Scenario, seed: int
     """(reference result, fast result), divergence-checked."""
     reference = run_scenario(scenario, "reference", seed)
     fast = run_scenario(scenario, "fast", seed)
-    for key in ("requests", "primitive_cycles", "state_digest"):
+    for key in DETERMINISTIC_FIELDS:
         if reference[key] != fast[key]:
             raise RuntimeError(
                 f"engine divergence in scenario {scenario.name!r}: "
@@ -290,7 +326,7 @@ def check_report(committed: dict[str, Any],
             ok = False
             messages.append(str(exc))
             continue
-        for key in ("requests", "primitive_cycles", "state_digest"):
+        for key in DETERMINISTIC_FIELDS:
             if reference[key] != baseline[key]:
                 ok = False
                 messages.append(

@@ -14,7 +14,8 @@ KeyID 0 (``HOST_KEYID``) is plaintext passthrough for non-enclave memory.
 
 MACs are computed over the *full stored line*, so the engine exposes
 ``record_macs`` / ``verify_macs`` hooks that :class:`PhysicalMemory` calls
-with a raw-line reader after the store has landed.
+with a raw reader after the store has landed; each hook reads the access's
+line-aligned span once and MACs it line by line.
 """
 
 from __future__ import annotations
@@ -102,12 +103,16 @@ class MemoryEncryptionEngine:
     # -- integrity ------------------------------------------------------------------
 
     @staticmethod
-    def _lines(paddr: int, length: int):
-        line = paddr - (paddr % CACHE_LINE_SIZE)
+    def _span(paddr: int, length: int) -> tuple[int, int]:
+        """The line-aligned [base, base + size) covering an access."""
+        base = paddr - (paddr % CACHE_LINE_SIZE)
         end = paddr + length
-        while line < end:
-            yield line
-            line += CACHE_LINE_SIZE
+        return base, end - base + (-end % CACHE_LINE_SIZE)
+
+    @classmethod
+    def _lines(cls, paddr: int, length: int) -> range:
+        base, size = cls._span(paddr, length)
+        return range(base, base + size, CACHE_LINE_SIZE)
 
     def record_macs(self, paddr: int, length: int, keyid: int,
                     read_raw: LineReader) -> None:
@@ -125,9 +130,11 @@ class MemoryEncryptionEngine:
         mac_key = self._mac_keys.get(keyid)
         if mac_key is None:
             return
-        for line in self._lines(paddr, length):
-            content = read_raw(line, CACHE_LINE_SIZE)
-            self._macs[line] = (keyid, truncated_mac(mac_key, content, MAC_BITS))
+        base, size = self._span(paddr, length)
+        raw = read_raw(base, size)
+        for off in range(0, size, CACHE_LINE_SIZE):
+            self._macs[base + off] = (keyid, truncated_mac(
+                mac_key, raw[off:off + CACHE_LINE_SIZE], MAC_BITS))
 
     def verify_macs(self, paddr: int, length: int, keyid: int,
                     read_raw: LineReader) -> None:
@@ -142,7 +149,10 @@ class MemoryEncryptionEngine:
         mac_key = self._mac_keys.get(keyid)
         if mac_key is None:
             return
-        for line in self._lines(paddr, length):
+        base, size = self._span(paddr, length)
+        raw = read_raw(base, size)
+        for off in range(0, size, CACHE_LINE_SIZE):
+            line = base + off
             recorded = self._macs.get(line)
             if recorded is None:
                 continue
@@ -153,7 +163,7 @@ class MemoryEncryptionEngine:
                 # guards the *owning* domain against tampering, not
                 # cross-domain reads.
                 continue
-            content = read_raw(line, CACHE_LINE_SIZE)
+            content = raw[off:off + CACHE_LINE_SIZE]
             if truncated_mac(mac_key, content, MAC_BITS) != rec_mac:
                 raise IntegrityViolation(
                     f"MAC mismatch at line {line:#x} (keyid {keyid})"

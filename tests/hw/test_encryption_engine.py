@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.common.constants import PAGE_SIZE
+from repro.common.constants import CACHE_LINE_SIZE, PAGE_SIZE
 from repro.errors import IntegrityViolation, IsolationViolation, KeySlotExhausted
 from repro.hw.encryption_engine import MemoryEncryptionEngine
 from repro.hw.memory import PhysicalMemory
@@ -95,3 +97,34 @@ def test_unprogrammed_keyid_decrypts_to_garbage(memory: PhysicalMemory):
     memory.write(0x6000, b"plaintext-bytes!", keyid=0)
     out = memory.read(0x6000, 16, keyid=777)  # never programmed
     assert out != b"plaintext-bytes!"
+
+
+
+@given(offset=st.integers(min_value=0, max_value=PAGE_SIZE - 1),
+       length=st.integers(min_value=65, max_value=PAGE_SIZE + 200),
+       data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_tamper_anywhere_in_span_names_its_line(offset: int, length: int,
+                                                data):
+    """A multi-line (possibly cross-page) span is verified line by line.
+
+    Flipping any one stored byte of the line-aligned span trips the MAC
+    of exactly the line holding it; with two flips the lower line is
+    named, as the engine checks lines in address order.
+    """
+    memory = PhysicalMemory(4 * PAGE_SIZE)
+    memory.encryption_engine = MemoryEncryptionEngine()
+    memory.encryption_engine.program_key(7, b"t" * 32, from_ems=True)
+    paddr = PAGE_SIZE + offset
+    memory.write(paddr, bytes(i & 0xFF for i in range(length)), keyid=7)
+    memory.read(paddr, length, keyid=7)  # untampered: passes
+    base = paddr - paddr % CACHE_LINE_SIZE
+    end = -(-(paddr + length) // CACHE_LINE_SIZE) * CACHE_LINE_SIZE
+    flips = data.draw(st.lists(st.integers(min_value=base, max_value=end - 1),
+                               min_size=1, max_size=2, unique=True),
+                      label="flips")
+    for at in flips:
+        memory.write_raw(at, bytes([memory.read_raw(at, 1)[0] ^ 0x01]))
+    named = min(flips) - min(flips) % CACHE_LINE_SIZE
+    with pytest.raises(IntegrityViolation, match=f"line {named:#x} "):
+        memory.read(paddr, length, keyid=7)
