@@ -12,9 +12,10 @@ layers, each differentially pinned to the reference:
   array-batched per-core cycle charges.
 
 Bit-for-bit equivalence with ``engine="reference"`` is enforced by
-``tests/core/test_kernel_differential.py``; the throughput series lives
-in ``BENCH_pr7.json`` (``python -m repro bench``). See
-``docs/performance.md`` for the architecture and methodology.
+``tests/core/test_kernel_differential.py``. See ``docs/performance.md``
+for the architecture, and for why lazy zero-under-key in
+:class:`~repro.hw.memory.PhysicalMemory` has made the kernel's speedup
+marginal.
 """
 
 from repro.core.fastkernel.engine import FastEMCall

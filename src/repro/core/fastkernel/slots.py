@@ -107,8 +107,8 @@ class FrameSlotCache:
         self.stream: list[bytes | None] = [None] * num_frames
         self.mac_entries: list[list[tuple[bytes, bytes, list[int]]]] = [
             [] for _ in range(num_frames)]
-        # Effectiveness counters (surfaced by the throughput bench; these
-        # are host-side diagnostics, not modelled state).
+        # Effectiveness counters (host-side diagnostics, not modelled
+        # state).
         self.stream_hits = 0
         self.stream_fills = 0
         self.mac_hits = 0

@@ -62,9 +62,11 @@ class KeystreamCipher:
     def keystream(self, start: int, length: int) -> bytes:
         """The keystream window for absolute positions [start, start+length).
 
-        Public so the fast kernel's slot caches can memoize per-page
-        streams while staying bit-identical to the reference: there is
-        exactly one keystream implementation, and this is it.
+        Public because the keystream is also Enc(0): deferred zeroing
+        (``PhysicalMemory.zero_under``) stores it directly, and the fast
+        kernel's slot caches memoize per-page streams while staying
+        bit-identical to the reference. There is exactly one keystream
+        implementation, and this is it.
         """
         return self._keystream(start, length)
 

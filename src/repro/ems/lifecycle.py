@@ -103,12 +103,11 @@ class EnclaveManager:
 
         Raw-zeroed DRAM decrypts to keystream noise under an enclave key;
         a freshly mapped page must read as zeros to its new owner, so the
-        EMS writes zeros through the encryption engine.
+        EMS writes zeros through the encryption engine (deferred per line
+        by :meth:`PhysicalMemory.zero_under`).
         """
-        from repro.common.constants import PAGE_SIZE as _PS
-
         for frame in frames:
-            self.memory.write_frame(frame, bytes(_PS), keyid)
+            self.memory.zero_under(frame, keyid)
 
     def reclaim_frames(self, frames: list[int], owner: Owner,
                        flush_list: list[int]) -> None:

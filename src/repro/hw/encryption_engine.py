@@ -78,6 +78,32 @@ class MemoryEncryptionEngine:
         if self.san is not None:
             self.san.on_key_released(keyid)
 
+    def live_cipher(self, keyid: int) -> KeystreamCipher | None:
+        """The cipher programmed in slot ``keyid`` now, if any."""
+        return self._ciphers.get(keyid)
+
+    def zero_key(self, keyid: int) -> tuple[KeystreamCipher, bytes] | None:
+        """``(cipher, MAC key)`` a zeroing write under ``keyid`` would use.
+
+        None when that write has nothing to defer: host plaintext, an
+        unprogrammed KeyID, or integrity off.
+        """
+        if keyid == HOST_KEYID or not self.integrity_enabled:
+            return None
+        cipher = self._ciphers.get(keyid)
+        if cipher is None:
+            return None
+        return cipher, self._mac_keys[keyid]
+
+    def records_macs(self, keyid: int) -> bool:
+        """Does a write under ``keyid`` replace the MACs of its lines?
+
+        True when :meth:`record_macs` re-records them (a live MAC key,
+        integrity on) or drops them (host KeyID).
+        """
+        return keyid == HOST_KEYID or (self.integrity_enabled
+                                       and keyid in self._mac_keys)
+
     def slots_in_use(self) -> int:
         """Programmed KeyID slots."""
         return len(self._ciphers)
@@ -135,6 +161,18 @@ class MemoryEncryptionEngine:
         for off in range(0, size, CACHE_LINE_SIZE):
             self._macs[base + off] = (keyid, truncated_mac(
                 mac_key, raw[off:off + CACHE_LINE_SIZE], MAC_BITS))
+
+    def install_macs(self, paddr: int, stored: bytes, keyid: int,
+                     mac_key: bytes) -> None:
+        """Record MACs over whole stored lines under a captured key.
+
+        Completes a deferred write (see ``PhysicalMemory.zero_under``):
+        the lines were written under ``keyid`` while ``mac_key`` was its
+        key, which may since have been released or reprogrammed.
+        """
+        for off in range(0, len(stored), CACHE_LINE_SIZE):
+            self._macs[paddr + off] = (keyid, truncated_mac(
+                mac_key, stored[off:off + CACHE_LINE_SIZE], MAC_BITS))
 
     def verify_macs(self, paddr: int, length: int, keyid: int,
                     read_raw: LineReader) -> None:

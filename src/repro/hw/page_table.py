@@ -131,8 +131,7 @@ class PageTable:
         enclave KeyID; table frames must hold zeros as seen by the
         walker, so they are initialized through the encryption engine.
         """
-        self.memory.write(frame << PAGE_SHIFT, bytes(PAGE_SIZE),
-                          self.table_keyid)
+        self.memory.zero_under(frame, self.table_keyid)
 
     # -- raw PTE access ----------------------------------------------------------
 

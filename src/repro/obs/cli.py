@@ -11,11 +11,10 @@ Subcommands::
     python -m repro slo                     # SLO report: quantiles + budgets
     python -m repro slo --json              # the same, machine-readable
     python -m repro flightrec dump          # flight-recorder black box
-    python -m repro bench                   # comm bench + engine throughput
+    python -m repro bench                   # comm bench (modelled cycles)
     python -m repro bench --out BENCH_pr3.json  # refresh the artifact
     python -m repro bench --regress-out BENCH_pr6.json  # latency baseline
-    python -m repro bench --throughput-out BENCH_pr7.json  # engine speedup
-    python -m repro bench --check     # gate BENCH_pr6.json + BENCH_pr7.json
+    python -m repro bench --check     # gate BENCH_pr6.json
     python -m repro serve --shards 4        # seeded load drive + SLO report
     python -m repro serve --chaos queuefull # starvation self-check (exits 1)
     python -m repro lint                    # teelint architectural checks
@@ -202,7 +201,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         run_batch_comm_bench,
         write_report,
     )
-    from repro.eval import regress, throughput
+    from repro.eval import regress
 
     if args.check is not None:
         path = args.check or regress.DEFAULT_REPORT
@@ -215,29 +214,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                                             inflate=args.check_inflate)
         for message in messages:
             print(message)
-        tput_path = args.throughput_check or throughput.DEFAULT_REPORT
-        try:
-            tput_committed = throughput.load_report(tput_path)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot load {tput_path}: {exc}", file=sys.stderr)
-            return 2
-        tput_ok, tput_messages = throughput.check_report(
-            tput_committed, scale_fast=args.check_scale_fast)
-        print()
-        for message in tput_messages:
-            print(message)
-        return 0 if ok and tput_ok else 1
+        return 0 if ok else 1
 
     report = run_batch_comm_bench(seed=args.seed)
     print(render_report(report))
-    # Wall-clock throughput alongside the modelled cycles: a quick pass
-    # (no calibration repeats) by default, the fully calibrated baseline
-    # when writing the artifact.
-    tput = throughput.build_report(
-        calibration_repeats=(throughput.CALIBRATION_REPEATS
-                             if args.throughput_out else 0))
-    print()
-    print(throughput.render_report(tput))
     if args.out:
         try:
             write_report(report, args.out)
@@ -246,14 +226,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 1
         print(f"wrote {args.out}")
-    if args.throughput_out:
-        try:
-            throughput.write_report(tput, args.throughput_out)
-        except OSError as exc:
-            print(f"error: cannot write {args.throughput_out}: "
-                  f"{exc.strerror}", file=sys.stderr)
-            return 1
-        print(f"wrote {args.throughput_out}")
     if args.regress_out:
         latency = regress.build_report()
         print()
@@ -391,32 +363,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench", help="scalar vs batched EMCall comm-cycle baseline "
-                      "(BENCH_pr3.json), the latency-regression gate "
-                      "(BENCH_pr6.json), and the engine-throughput gate "
-                      "(BENCH_pr7.json)")
+                      "(BENCH_pr3.json) and the latency-regression gate "
+                      "(BENCH_pr6.json)")
     bench.add_argument("--out", default=None, metavar="PATH",
                        help="also write the JSON artifact (e.g. "
                             "BENCH_pr3.json)")
     bench.add_argument("--regress-out", default=None, metavar="PATH",
                        help="also build and write the latency-regression "
                             "baseline (e.g. BENCH_pr6.json)")
-    bench.add_argument("--throughput-out", default=None, metavar="PATH",
-                       help="also build (with calibration) and write the "
-                            "engine-throughput baseline (e.g. "
-                            "BENCH_pr7.json)")
     bench.add_argument("--check", nargs="?", const="", default=None,
                        metavar="PATH",
-                       help="re-run the committed baselines and fail on "
-                            "regressions beyond the calibrated bands "
-                            "(default artifacts: BENCH_pr6.json and "
-                            "BENCH_pr7.json)")
-    bench.add_argument("--throughput-check", default=None, metavar="PATH",
-                       help="throughput artifact for --check (default: "
-                            "BENCH_pr7.json)")
+                       help="re-run the committed latency baseline and "
+                            "fail on regressions beyond its calibrated "
+                            "bands (default artifact: BENCH_pr6.json)")
     bench.add_argument("--check-inflate", type=float, default=1.0,
                        help=argparse.SUPPRESS)  # test hook: fake slowdown
-    bench.add_argument("--check-scale-fast", type=float, default=1.0,
-                       help=argparse.SUPPRESS)  # test hook: fake decay
     bench.add_argument("--seed", type=int, default=0xBE4C)
     bench.set_defaults(func=_cmd_bench)
 

@@ -182,6 +182,17 @@ class SanitizerManager:
         if self.own is not None:
             self.own.check_raw_write(paddr, len(data))
 
+    def on_zero_under(self, paddr: int, length: int) -> None:
+        """Zeros were written under an enclave key, their ciphertext deferred.
+
+        The write's effects land now, as for :meth:`on_raw_write`, except
+        the content scan: the bus will carry Enc_K(0), never a secret.
+        """
+        if self.secret is not None:
+            self.secret.note_overwrite(paddr, length)
+        if self.own is not None:
+            self.own.check_raw_write(paddr, length)
+
     def on_zero_frame(self, frame: int) -> None:
         """A frame was scrubbed; its shadow is clean by definition."""
         if self.secret is not None:

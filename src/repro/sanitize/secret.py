@@ -97,17 +97,7 @@ class SecretSanitizer:
         """Scan one bus write; taint the shadow map on matches."""
         del memory  # shadow state lives here, not in the memory model
         self._manager.stats.raw_writes_scanned += 1
-        shadow = self._manager.shadow
-        # The write overwrites whatever taint the range held before.
-        start = paddr
-        remaining = len(data)
-        while remaining:
-            frame = start >> PAGE_SHIFT
-            offset = start & (PAGE_SIZE - 1)
-            take = min(remaining, PAGE_SIZE - offset)
-            shadow.clear_range(frame, offset, offset + take)
-            start += take
-            remaining -= take
+        self.note_overwrite(paddr, len(data))
         for hit in self._manager.registry.scan(bytes(data)):
             first = paddr + hit.offset
             last = first + hit.length
@@ -118,13 +108,25 @@ class SecretSanitizer:
                 frame = cursor >> PAGE_SHIFT
                 offset = cursor & (PAGE_SIZE - 1)
                 take = min(last - cursor, PAGE_SIZE - offset)
-                shadow.mark(frame, offset, offset + take, hit.label)
+                self._manager.shadow.mark(frame, offset, offset + take,
+                                          hit.label)
                 cursor += take
             self._violation(
                 "SECRET-LEAK",
                 f"{hit.label} landed on the DRAM bus unencrypted at "
                 f"paddr {first:#x} ({hit.length} bytes) — the bus must "
                 "carry ciphertext")
+
+    def note_overwrite(self, paddr: int, length: int) -> None:
+        """A bus write replaced whatever taint the range held before."""
+        shadow = self._manager.shadow
+        while length:
+            frame = paddr >> PAGE_SHIFT
+            offset = paddr & (PAGE_SIZE - 1)
+            take = min(length, PAGE_SIZE - offset)
+            shadow.clear_range(frame, offset, offset + take)
+            paddr += take
+            length -= take
 
     def note_zero_frame(self, frame: int) -> None:
         """Zeroing scrubs a frame; its shadow goes clean with it."""

@@ -17,13 +17,25 @@ Two differential contracts pin the multi-EMS shard pool:
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.common.types import Primitive
 from repro.core.api import HyperTEE
 from repro.core.config import SystemConfig
 from repro.core.enclave import EnclaveConfig
-from repro.eval.throughput import memory_digest
+
+
+def memory_digest(system) -> str:
+    """SHA-256 over all of physical memory (raw stored bytes)."""
+    digest = hashlib.sha256()
+    memory = system.memory
+    step = 1 << 20
+    for base in range(0, memory.size_bytes, step):
+        digest.update(memory.read_raw(
+            base, min(step, memory.size_bytes - base)))
+    return digest.hexdigest()
 
 
 @pytest.fixture(params=("reference", "fast"))

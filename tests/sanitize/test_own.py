@@ -160,3 +160,56 @@ def test_seeded_double_grant_is_detected_end_to_end():
     assert manager.violations[0].kind == "DOUBLE-GRANT"
     assert any("own.claim" in line
                for v in manager.violations for line in v.trail)
+
+
+# -- deferred zero-under-key -----------------------------------------------------
+
+def _zeroing_platform(lazy: bool):
+    from repro.common.constants import PAGE_SIZE
+    from repro.hw.encryption_engine import MemoryEncryptionEngine
+    from repro.hw.memory import PhysicalMemory
+    from tests.hw.test_lazy_zero import EagerMemory
+
+    memory = (PhysicalMemory if lazy else EagerMemory)(16 * PAGE_SIZE)
+    memory.encryption_engine = MemoryEncryptionEngine()
+    memory.encryption_engine.program_key(1, b"k" * 32, from_ems=True)
+    manager = SanitizerManager(("secret", "own"))
+    memory.san = manager
+    return memory, manager
+
+
+@pytest.mark.parametrize("lazy", (True, False))
+def test_zero_under_reports_the_write_at_zero_time(lazy):
+    """OWN range check and SECRET shadow clear land when the EMS zeroes."""
+    from repro.common.constants import PAGE_SIZE
+
+    memory, manager = _zeroing_platform(lazy)
+    secret = bytes(range(7, 39))
+    manager.register_secret(secret, "test-key")
+    memory.write_raw(2 * PAGE_SIZE + 64, secret)  # a leak: shadow marked
+    assert manager.shadow.is_tainted(2)
+    memory.zero_under(2, 1)
+    assert not manager.shadow.is_tainted(2)
+    manager.on_transfer_prepare(42, [3], 0, 1)
+    memory.zero_under(3, 1)
+    kinds = [v.kind for v in manager.violations]
+    assert kinds == ["SECRET-LEAK", "ACCESS-AFTER-PREPARE"]
+
+
+def test_materializing_in_a_prepare_window_is_not_a_write():
+    """Completing an already-reported write is silent; a raw write is not."""
+    from repro.common.constants import PAGE_SIZE
+
+    memory, manager = _zeroing_platform(lazy=True)
+    memory.zero_under(5, 1)
+    memory.zero_under(6, 1)
+    manager.on_transfer_prepare(42, [5, 6], 0, 1)
+    memory.read_raw(5 * PAGE_SIZE, PAGE_SIZE)  # an attacker's read
+    memory.read(6 * PAGE_SIZE, 64, 2)  # another key's read
+    assert 5 not in memory._pending and memory._pending[6].pending
+    assert manager.ok()
+    # One report per real write, none for the edge line it stores first.
+    memory.write(6 * PAGE_SIZE + 70, b"partial line", 1)
+    assert len(manager.violations) == 1
+    memory.write_raw(5 * PAGE_SIZE + 8, b"x")
+    assert [v.kind for v in manager.violations] == ["ACCESS-AFTER-PREPARE"] * 2
