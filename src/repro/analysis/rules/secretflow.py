@@ -21,6 +21,7 @@ rule reports the flow events of the shared taint engine
   fixpoint. A helper that formats a key plus a caller that logs the
   result is one flow, even across ``crypto/`` → ``ems/`` → ``obs/``;
 * **sinks** — ``print``, ``*.labels(...)``, ``*.add_span(...)``,
+  ``*.add_deferred(...)`` (span trees the tracer expands on read),
   obs probes (``*.record_*``), logging methods, ``str.format`` /
   f-strings, and CS-visible packet constructors
   (``PrimitiveRequest`` / ``PrimitiveResponse`` / ``BatchRequest`` /
@@ -65,7 +66,8 @@ class SecretFlowRule:
     #: bumped when findings change for identical sources (cache key).
     #: v3: flight-recorder sinks (record_event / flightrec.* receivers).
     #: v4: teesan report sinks (report_violation / format_violation).
-    version = 4
+    #: v5: deferred span-tree sinks (add_deferred).
+    version = 5
 
     def check(self, project: Project) -> Iterator[Finding]:
         """Report every secret-to-sink flow event in the project."""

@@ -111,6 +111,8 @@ def sink_name(node: ast.Call) -> str | None:
             return "metric label"
         if attr == "add_span":
             return "trace span arg"
+        if attr == "add_deferred":
+            return "deferred trace span arg"
         if attr == "record_event":
             return "flight recorder event"
         # Any call on a flight-recorder-named receiver is a sink: its

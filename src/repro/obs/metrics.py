@@ -108,8 +108,12 @@ class Histogram:
         self._buckets[index] = self._buckets.get(index, 0) + 1
         self.count += 1
         self.sum += value
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
+        # Comparisons, not min()/max(): same result, ties included
+        # (both builtins keep the earlier value on a tie).
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
 
     def buckets(self) -> list[tuple[float, int]]:
         """Sorted (upper_bound, count) pairs for non-empty buckets."""
@@ -206,8 +210,12 @@ class QuantileHistogram:
         self._buckets[index] = self._buckets.get(index, 0) + 1
         self.count += 1
         self.sum += value
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
+        # Comparisons, not min()/max(): same result, ties included
+        # (both builtins keep the earlier value on a tie).
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
         if self._exact is not None:
             bisect.insort(self._exact, value)
             if len(self._exact) > self.exact_limit:
@@ -270,12 +278,28 @@ class MetricFamily:
         self.labelnames = tuple(labelnames)
         self._kwargs = kwargs
         self._children: dict[tuple[str, ...], Any] = {}
+        #: Raw all-``str`` positional value tuples -> their child. Only
+        #: exact ``str`` tuples are bound: ``1 == 1.0 == True`` share a
+        #: dict slot but format to different label values.
+        self._bound: dict[tuple, Any] = {}
+        self._solo_child: Any = None
 
     def labels(self, *values: Any, **kwvalues: Any) -> Any:
-        """Child instrument for one label-value combination."""
-        if kwvalues:
-            if values:
-                raise MetricError("pass labels positionally or by name")
+        """Child instrument for one label-value combination.
+
+        Values are formatted with ``str()``; a positional call whose
+        values were all ``str`` before returns its bound child directly.
+        """
+        if not kwvalues:
+            try:
+                child = self._bound.get(values)
+            except TypeError:  # an unhashable value still formats below
+                child = None
+            if child is not None:
+                return child
+        elif values:
+            raise MetricError("pass labels positionally or by name")
+        else:
             try:
                 values = tuple(kwvalues[name] for name in self.labelnames)
             except KeyError as exc:
@@ -288,6 +312,8 @@ class MetricFamily:
         if child is None:
             child = _KIND_FACTORY[self.kind](**self._kwargs)
             self._children[key] = child
+        if all(type(v) is str for v in values):
+            self._bound[values] = child
         return child
 
     def samples(self) -> Iterable[tuple[dict[str, str], Any]]:
@@ -298,9 +324,12 @@ class MetricFamily:
     # An unlabelled family proxies straight to its single child ----------------
 
     def _solo(self) -> Any:
-        if self.labelnames:
-            raise MetricError(f"{self.name} is labelled; use .labels()")
-        return self.labels()
+        child = self._solo_child
+        if child is None:
+            if self.labelnames:
+                raise MetricError(f"{self.name} is labelled; use .labels()")
+            child = self._solo_child = self.labels()
+        return child
 
     def inc(self, amount: float = 1) -> None:
         """Increment the unlabelled child."""

@@ -67,12 +67,104 @@ from repro.obs.attribution import Attribution
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import BATCH_OPERATION, MAILBOX_WAIT_OPERATION, SLOEngine
-from repro.obs.trace import Tracer
+from repro.obs.trace import Span, Tracer
 
 #: Bound on the mailbox-residency FIFO: under sustained drops/cancels
 #: the push and fetch streams can drift apart; stale entries age out
 #: instead of growing without bound.
 _MAILBOX_PENDING_MAX = 1024
+
+
+#: EMS-core cycles -> CS-core cycles, for service spans on the CS track.
+_EMS_TO_CS = CS_CORE_FREQ_HZ / EMS_CORE_FREQ_HZ
+
+
+def _tile(first_id: int, t0: float, track: str, root_name: str,
+          root_attrs: dict[str, Any], cs_cycles: int, dispatch_cycles: int,
+          transfer_cycles: int, gate_attrs: dict[str, Any],
+          crossing_attrs: dict[str, Any],
+          services: list[tuple[str, dict[str, Any], int, dict | None]],
+          polls: int, jitter_cycles: int) -> list[Span]:
+    """One invocation's span tree, ids from ``first_id`` in tree order.
+
+    The root's children tile it exactly: the gate, the request
+    crossing, each EMS service span (with its handler span nested
+    inside when the EMS reported one), the response crossing, and the
+    poll/jitter remainder.
+    """
+    spans = [Span(first_id, None, root_name, "primitive", t0, cs_cycles,
+                  track, root_attrs)]
+    cursor = t0
+    spans.append(Span(first_id + 1, first_id, "emcall.gate", "emcall",
+                      cursor, dispatch_cycles, track, gate_attrs))
+    cursor += dispatch_cycles
+    spans.append(Span(first_id + 2, first_id, "mailbox.request", "mailbox",
+                      cursor, transfer_cycles, track, dict(crossing_attrs)))
+    cursor += transfer_cycles
+    for name, attrs, ems_cycles, detail in services:
+        service_cs = int(ems_cycles * _EMS_TO_CS)
+        service_id = first_id + len(spans)
+        spans.append(Span(service_id, first_id, name, "ems", cursor,
+                          service_cs, track, attrs))
+        if detail is not None:
+            spans.append(Span(
+                service_id + 1, service_id,
+                f"ems.handler:{detail['primitive']}", "ems", cursor,
+                service_cs, track,
+                {k: v for k, v in detail.items() if k != "primitive"}))
+        cursor += service_cs
+    spans.append(Span(first_id + len(spans), first_id, "mailbox.response",
+                      "mailbox", cursor, transfer_cycles, track,
+                      dict(crossing_attrs)))
+    cursor += transfer_cycles
+    # The remainder of the CS-visible latency is poll obfuscation
+    # jitter; spans must tile the root exactly.
+    tail = cs_cycles - (cursor - t0)
+    spans.append(Span(first_id + len(spans), first_id, "emcall.poll",
+                      "emcall", cursor, tail, track,
+                      {"polls": polls, "jitter_cycles": jitter_cycles}))
+    return spans
+
+
+def _invocation_spans(first_id: int, t0: float, primitive: str, status: str,
+                      request_id: int, cs_cycles: int, dispatch_cycles: int,
+                      transfer_cycles: int, service_cycles: int,
+                      jitter_cycles: int, polls: int,
+                      enclave_id: int | None, core_id: int, attempts: int,
+                      detail: dict[str, Any] | None) -> list[Span]:
+    """Expand one :meth:`Observability.record_invocation` record."""
+    root_attrs = {"request_id": request_id, "status": status,
+                  "enclave_id": enclave_id}
+    if attempts > 1:
+        root_attrs["attempts"] = attempts
+    return _tile(first_id, t0, f"cs{core_id}", primitive, root_attrs,
+                 cs_cycles, dispatch_cycles, transfer_cycles,
+                 {"primitive": primitive}, {"request_id": request_id},
+                 [("ems.service", {"ems_cycles": service_cycles},
+                   service_cycles, detail)],
+                 polls, jitter_cycles)
+
+
+def _batch_spans(first_id: int, t0: float, primitives: list[str],
+                 request_ids: list[int], service_cycles: list[int],
+                 details: list[dict[str, Any] | None], cs_cycles: int,
+                 dispatch_cycles: int, transfer_cycles: int,
+                 jitter_cycles: int, polls: int, enclave_id: int | None,
+                 core_id: int, attempts: int) -> list[Span]:
+    """Expand one :meth:`Observability.record_batch_invocation` record."""
+    n = len(primitives)
+    root_attrs = {"batch_size": n, "enclave_id": enclave_id}
+    if attempts > 1:
+        root_attrs["attempts"] = attempts
+    services = [(f"ems.service:{primitive}",
+                 {"request_id": request_id, "ems_cycles": ems_cycles},
+                 ems_cycles, detail)
+                for primitive, request_id, ems_cycles, detail in zip(
+                    primitives, request_ids, service_cycles, details)]
+    return _tile(first_id, t0, f"cs{core_id}", f"emcall.batch[{n}]",
+                 root_attrs, cs_cycles, dispatch_cycles, transfer_cycles,
+                 {"batch_size": n}, {"batch_size": n}, services, polls,
+                 jitter_cycles)
 
 
 class Observability:
@@ -227,47 +319,14 @@ class Observability:
             enclave_id=enclave_id, attempts=attempts)
 
         tracer = self.tracer
-        if not tracer.enabled:
-            self._pending_ems.pop(request_id, None)
-            return
-        track = f"cs{core_id}"
-        t0 = tracer.clock
-        extra = {"attempts": attempts} if attempts > 1 else {}
-        root = tracer.add_span(
-            primitive, "primitive", t0, cs_cycles, track=track,
-            request_id=request_id, status=status, enclave_id=enclave_id,
-            **extra)
-        ems_to_cs = CS_CORE_FREQ_HZ / EMS_CORE_FREQ_HZ
-        service_cs = int(service_cycles * ems_to_cs)
-        cursor = t0
-        gate = tracer.add_span("emcall.gate", "emcall", cursor,
-                               dispatch_cycles, parent=root, track=track,
-                               primitive=primitive)
-        del gate
-        cursor += dispatch_cycles
-        tracer.add_span("mailbox.request", "mailbox", cursor,
-                        transfer_cycles, parent=root, track=track,
-                        request_id=request_id)
-        cursor += transfer_cycles
-        service = tracer.add_span(
-            "ems.service", "ems", cursor, service_cs, parent=root,
-            track=track, ems_cycles=service_cycles)
         detail = self._pending_ems.pop(request_id, None)
-        if detail is not None and service is not None:
-            tracer.add_span(
-                f"ems.handler:{detail['primitive']}", "ems", cursor,
-                service_cs, parent=service, track=track, **{
-                    k: v for k, v in detail.items() if k != "primitive"})
-        cursor += service_cs
-        tracer.add_span("mailbox.response", "mailbox", cursor,
-                        transfer_cycles, parent=root, track=track,
-                        request_id=request_id)
-        cursor += transfer_cycles
-        # The remainder of the CS-visible latency is poll obfuscation
-        # jitter; spans must tile the root exactly.
-        tail = cs_cycles - (cursor - t0)
-        tracer.add_span("emcall.poll", "emcall", cursor, tail, parent=root,
-                        track=track, polls=polls, jitter_cycles=jitter_cycles)
+        if not tracer.enabled:
+            return
+        tracer.add_deferred(
+            6 if detail is None else 7, _invocation_spans,
+            (tracer.clock, primitive, status, request_id, cs_cycles,
+             dispatch_cycles, transfer_cycles, service_cycles, jitter_cycles,
+             polls, enclave_id, core_id, attempts, detail))
         tracer.advance(cs_cycles)
 
     def record_batch_invocation(self, *, primitives: list[str],
@@ -306,47 +365,16 @@ class Observability:
             self.slo.record(primitive, amortized)
 
         tracer = self.tracer
+        pending = self._pending_ems
+        details = [pending.pop(request_id, None) for request_id in request_ids]
         if not tracer.enabled:
-            for request_id in request_ids:
-                self._pending_ems.pop(request_id, None)
             return
-        track = f"cs{core_id}"
-        t0 = tracer.clock
-        extra = {"attempts": attempts} if attempts > 1 else {}
-        root = tracer.add_span(
-            f"emcall.batch[{n}]", "primitive", t0, cs_cycles, track=track,
-            batch_size=n, enclave_id=enclave_id, **extra)
-        ems_to_cs = CS_CORE_FREQ_HZ / EMS_CORE_FREQ_HZ
-        cursor = t0
-        tracer.add_span("emcall.gate", "emcall", cursor, dispatch_cycles,
-                        parent=root, track=track, batch_size=n)
-        cursor += dispatch_cycles
-        tracer.add_span("mailbox.request", "mailbox", cursor,
-                        transfer_cycles, parent=root, track=track,
-                        batch_size=n)
-        cursor += transfer_cycles
-        for primitive, request_id, ems_cycles in zip(
-                primitives, request_ids, service_cycles):
-            service_cs = int(ems_cycles * ems_to_cs)
-            span = tracer.add_span(
-                f"ems.service:{primitive}", "ems", cursor, service_cs,
-                parent=root, track=track, request_id=request_id,
-                ems_cycles=ems_cycles)
-            detail = self._pending_ems.pop(request_id, None)
-            if detail is not None and span is not None:
-                tracer.add_span(
-                    f"ems.handler:{detail['primitive']}", "ems", cursor,
-                    service_cs, parent=span, track=track, **{
-                        k: v for k, v in detail.items() if k != "primitive"})
-            cursor += service_cs
-        tracer.add_span("mailbox.response", "mailbox", cursor,
-                        transfer_cycles, parent=root, track=track,
-                        batch_size=n)
-        cursor += transfer_cycles
-        tail = cs_cycles - (cursor - t0)
-        tracer.add_span("emcall.poll", "emcall", cursor, tail, parent=root,
-                        track=track, polls=polls,
-                        jitter_cycles=jitter_cycles)
+        handlers = n - details.count(None)
+        tracer.add_deferred(
+            5 + n + handlers, _batch_spans,
+            (tracer.clock, primitives, request_ids, service_cycles,
+             details, cs_cycles, dispatch_cycles, transfer_cycles,
+             jitter_cycles, polls, enclave_id, core_id, attempts))
         tracer.advance(cs_cycles)
 
     # -- EMS runtime ----------------------------------------------------------------

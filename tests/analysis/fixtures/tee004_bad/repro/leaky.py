@@ -7,6 +7,11 @@ def trace(tracer, keymgr):
     tracer.add_span("attest", key=session_key)
 
 
+def trace_later(tracer, keymgr, build):
+    session_key = keymgr.session_key("enclave-1")
+    tracer.add_deferred(1, build, (session_key,))
+
+
 def log_it(logger, private_key):
     logger.info("key=%s", private_key)
 

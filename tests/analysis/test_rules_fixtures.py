@@ -106,6 +106,7 @@ def test_tee004_bad_fires_on_every_sink_class(lint_fixture):
     assert keys(result) == {
         "flow:report->metric label",
         "flow:trace->trace span arg",
+        "flow:trace_later->deferred trace span arg",
         "flow:log_it->log call (info)",
         "flow:banner->f-string",
         "flow:wire->packet field (PrimitiveRequest)",

@@ -6,12 +6,14 @@ import dataclasses
 
 import pytest
 
+from repro.obs.export import render_json, render_prometheus
 from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
     MetricError,
     MetricsRegistry,
+    QuantileHistogram,
     stats_asdict,
 )
 
@@ -100,6 +102,82 @@ def test_unlabelled_family_proxies_to_solo_child():
     assert reg.get("lat").labels().count == 1
     with pytest.raises(MetricError):
         reg.counter("labelled", labelnames=("a",)).inc()
+
+
+def test_bound_children_match_the_formatting_path():
+    reg = MetricsRegistry()
+    shard = reg.counter("shard_hits", "test", ("shard",))
+    assert shard.labels(1) is shard.labels("1")
+    assert shard.labels("1") is shard.labels(1)  # "1" is bound by now
+    # Equal values that format differently never share a child.
+    assert shard.labels(True) is not shard.labels(1)
+    assert shard.labels(1.0) is not shard.labels(1)
+    assert shard.labels([2]) is shard.labels("[2]")
+    fam = reg.counter("hits", "test", ("primitive", "status"))
+    child = fam.labels("EALLOC", "ok")
+    assert fam.labels(primitive="EALLOC", status="ok") is child
+    assert fam.labels(status="ok", primitive="EALLOC") is child
+    assert fam.labels("EALLOC", "ok") is child
+    for bad in ((), ("EALLOC",), ("EALLOC", "ok", "x")):
+        with pytest.raises(MetricError):
+            fam.labels(*bad)
+    with pytest.raises(MetricError):
+        fam.labels(primitive="EALLOC")
+    for _ in range(2):  # still raises once children are bound
+        with pytest.raises(MetricError):
+            fam.inc()
+
+
+def test_children_appear_only_when_first_used():
+    reg = MetricsRegistry()
+    solo = reg.histogram("lat")
+    labelled = reg.counter("hits", labelnames=("op",))
+    assert list(solo.samples()) == [] and list(labelled.samples()) == []
+    solo.observe(3)
+    solo.observe(5)
+    assert [labels for labels, _ in solo.samples()] == [{}]
+    assert solo.labels().count == 2
+
+
+def _feed(reg: MetricsRegistry, positional: bool) -> None:
+    inv = reg.counter("inv_total", "invocations", ("primitive", "status"))
+    lat = reg.histogram("lat_cycles", "latency", ("primitive",))
+    slo = reg.quantile_histogram("slo_cycles", "slo", ("operation",))
+    depth = reg.gauge("depth", "queue depth", ("shard",))
+    polls = reg.histogram("polls", "poll rounds")
+    events = [("EALLOC", "ok", 700), ("EENTER", "ok", 512.0),
+              ("EALLOC", "fail", 900), ("EATTEST", "ok", 0),
+              ("EENTER", "ok", 512), ("EALLOC", "ok", 1e9)]
+    for step in range(40):
+        primitive, status, cycles = events[step % len(events)]
+        if positional:
+            inv.labels(primitive, status).inc()
+            lat.labels(primitive).observe(cycles)
+            slo.labels(primitive).observe(cycles + step)
+            depth.labels(str(step % 3)).set(step)
+        else:
+            inv.labels(primitive=primitive, status=status).inc()
+            lat.labels(primitive=primitive).observe(cycles)
+            slo.labels(operation=primitive).observe(cycles + step)
+            depth.labels(shard=str(step % 3)).set(step)
+        polls.observe(step % 4)
+
+
+def test_fast_path_export_matches_the_keyword_path():
+    fast, slow = MetricsRegistry(), MetricsRegistry()
+    _feed(fast, positional=True)
+    _feed(slow, positional=False)
+    assert render_prometheus(fast) == render_prometheus(slow)
+    assert render_json(fast) == render_json(slow)
+
+
+def test_lean_observe_keeps_builtin_min_max_ties():
+    for cls in (Histogram, QuantileHistogram):
+        hist = cls()
+        for value in (5, 5.0, 3.0, 3, 9, 9.0):
+            hist.observe(value)
+        assert (hist.min, type(hist.min)) == (3.0, float)
+        assert (hist.max, type(hist.max)) == (9, int)
 
 
 def test_registration_is_idempotent_but_typed():
