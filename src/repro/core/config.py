@@ -10,7 +10,8 @@ security-mechanism toggles the evaluation sweeps:
 * ``bitmap_checking`` — the *Bitmap* scenario knob (Fig. 10);
 * ``engine`` — "reference" (the scalar interpreter, default) or "fast"
   (the numpy-backed kernel of :mod:`repro.core.fastkernel`; bit-for-bit
-  identical behaviour, differentially pinned).
+  identical behaviour, differentially pinned). This field is the only
+  way to reach the kernel, and only its own pins use it.
 
 Functional protections stay on regardless of the timing knobs unless a
 knob is explicitly about functionality (``bitmap_checking`` off removes

@@ -35,6 +35,7 @@ from repro.ems.ownership import PageOwnershipTable
 from repro.ems.page_mgmt import PageManager
 from repro.ems.runtime import EMSRuntime
 from repro.ems.sealing import SealingService
+from repro.ems.shardpool import EMSShard
 from repro.ems.shared_memory import SharedMemoryManager
 from repro.ems.swapping import SwapManager
 from repro.hw.bitmap import BitmapReader, EnclaveBitmap
@@ -117,28 +118,22 @@ class HyperTEESystem:
         profile = ENGINE_CRYPTO if cfg.crypto == "engine" else SOFTWARE_CRYPTO
         self.crypto = CryptoEngine(profile)
         self.keys = KeyManager(self.efuse, self.engine, self.rng)
-        self.pool = EnclaveMemoryPool(
-            self.os, self.memory, self.rng, bitmap=self.bitmap,
-            initial_pages=cfg.pool_initial_pages)
-        self.ownership = PageOwnershipTable()
-        self.enclaves = EnclaveManager(
-            self.memory, self.pool, self.ownership, self.bitmap,
-            self.keys, self.crypto, self.rng)
-        self.pages = PageManager(self.enclaves)
-        self.swap = SwapManager(self.pool, self.keys, self.crypto, self.rng)
         self.iommu = IOMMU()
-        self.shm = SharedMemoryManager(self.enclaves, self.keys, self.ihub,
-                                       iommu=self.iommu)
-        self.attestation = AttestationService(self.enclaves, self.keys,
-                                              self.crypto)
-        self.attestation.set_platform_measurement(
-            self.boot_report.platform_measurement)
         self.sealing = SealingService(self.keys, self.rng)
-        self.ems = EMSRuntime(
-            self.mailbox, ems_config(cfg.ems_core),
-            self.enclaves, self.pages, self.swap, self.shm,
-            self.attestation, self.rng, num_cores=cfg.ems_cores,
-            fabric_probe=self.ihub.probe)
+        #: Every EMS on the platform, shard 0 first; one entry on a
+        #: single-EMS system. Shard 0's components are also reachable
+        #: as ``pool``, ``ownership``, ``enclaves``, ``pages``, ``swap``,
+        #: ``shm``, ``attestation`` and ``ems`` (its runtime).
+        primary = self._build_shard(0, self.mailbox)
+        self.shards = [primary]
+        self.pool = primary.pool
+        self.ownership = primary.ownership
+        self.enclaves = primary.enclaves
+        self.pages = primary.pages
+        self.swap = primary.swap
+        self.shm = primary.shm
+        self.attestation = primary.attestation
+        self.ems = primary.runtime
         self.emcall.attach_ems(self.ems.pump)
         if cfg.engine == "fast":
             # The short-circuit path dispatches into the runtime directly;
@@ -175,70 +170,70 @@ class HyperTEESystem:
         self.san = None
         self._register_stats_sources()
 
+    def _build_shard(self, index: int, mailbox: Mailbox) -> EMSShard:
+        """Build one EMS's management-software state behind ``mailbox``.
+
+        Each shard owns its pool, ownership table, lifecycle, page/swap/
+        shm managers, attestation service and runtime; platform hardware
+        — memory, the encryption engine, the key manager, the bitmap,
+        the CS OS — stays shared.
+        """
+        cfg = self.config
+        pool = EnclaveMemoryPool(
+            self.os, self.memory, self.rng, bitmap=self.bitmap,
+            initial_pages=cfg.pool_initial_pages)
+        ownership = PageOwnershipTable()
+        enclaves = EnclaveManager(
+            self.memory, pool, ownership, self.bitmap,
+            self.keys, self.crypto, self.rng)
+        pages = PageManager(enclaves)
+        swap = SwapManager(pool, self.keys, self.crypto, self.rng)
+        shm = SharedMemoryManager(enclaves, self.keys, self.ihub,
+                                  iommu=self.iommu)
+        attestation = AttestationService(enclaves, self.keys, self.crypto)
+        attestation.set_platform_measurement(
+            self.boot_report.platform_measurement)
+        runtime = EMSRuntime(
+            mailbox, ems_config(cfg.ems_core),
+            enclaves, pages, swap, shm, attestation, self.rng,
+            num_cores=cfg.ems_cores, fabric_probe=self.ihub.probe)
+        return EMSShard(
+            index, mailbox=mailbox, pool=pool, ownership=ownership,
+            enclaves=enclaves, pages=pages, swap=swap, shm=shm,
+            attestation=attestation, runtime=runtime)
+
     def _build_shards(self, cfg: SystemConfig) -> None:
         """Grow the booted single-EMS platform into a shard fleet.
 
-        Shard 0 *is* the legacy EMS — the components built above are
-        wrapped, not rebuilt, so their boot-time state matches a
+        Shard 0 is the EMS built at boot, so its state matches a
         single-EMS system exactly. Each additional shard gets its own
-        mailbox on the fabric and its own management-software state
-        (pool, ownership, lifecycle, page/swap/shm, attestation,
-        runtime), while platform hardware — memory, the encryption
-        engine, the key manager, the bitmap, the CS OS — stays shared.
-        The CS-side gate becomes a :class:`ShardedEMCall` routing on
+        mailbox on the fabric (see :meth:`_build_shard`), and the
+        CS-side gate becomes a :class:`ShardedEMCall` routing on
         enclave IDs.
         """
         from repro.cs.emcall import ShardedEMCall
-        from repro.ems.shardpool import EMSShard, ShardPool
+        from repro.ems.shardpool import ShardPool
 
-        shards = [EMSShard(
-            0, mailbox=self.mailbox, pool=self.pool,
-            ownership=self.ownership, enclaves=self.enclaves,
-            pages=self.pages, swap=self.swap, shm=self.shm,
-            attestation=self.attestation, runtime=self.ems)]
         gates = [self.emcall]
-
         for index in range(1, cfg.ems_shards):
             mailbox = Mailbox()
             self.ihub.register_shard_mailbox(mailbox)
-            pool = EnclaveMemoryPool(
-                self.os, self.memory, self.rng, bitmap=self.bitmap,
-                initial_pages=cfg.pool_initial_pages)
-            ownership = PageOwnershipTable()
-            enclaves = EnclaveManager(
-                self.memory, pool, ownership, self.bitmap,
-                self.keys, self.crypto, self.rng)
-            pages = PageManager(enclaves)
-            swap = SwapManager(pool, self.keys, self.crypto, self.rng)
-            shm = SharedMemoryManager(enclaves, self.keys, self.ihub,
-                                      iommu=self.iommu)
-            attestation = AttestationService(enclaves, self.keys,
-                                             self.crypto)
-            attestation.set_platform_measurement(
-                self.boot_report.platform_measurement)
-            runtime = EMSRuntime(
-                mailbox, ems_config(cfg.ems_core),
-                enclaves, pages, swap, shm, attestation, self.rng,
-                num_cores=cfg.ems_cores, fabric_probe=self.ihub.probe)
-            shards.append(EMSShard(
-                index, mailbox=mailbox, pool=pool, ownership=ownership,
-                enclaves=enclaves, pages=pages, swap=swap, shm=shm,
-                attestation=attestation, runtime=runtime))
-
+            shard = self._build_shard(index, mailbox)
+            self.shards.append(shard)
             if cfg.engine == "fast":
                 from repro.core.fastkernel import FastEMCall
 
                 gate = FastEMCall(mailbox, self.rng, self.cores)
-                gate.attach_runtime(runtime)
+                gate.attach_runtime(shard.runtime)
             else:
                 gate = EMCall(mailbox, self.rng, self.cores)
             gate.attach_interrupt_observer(self.interrupt_monitor.observe)
             gates.append(gate)
 
-        self.shard_pool = ShardPool(shards, self.sealing)
+        self.shard_pool = ShardPool(self.shards, self.sealing)
         # Every gate's retry pump goes through its shard's wrapper so
         # shard outages (ems.shard.fail) land on the right runtime.
-        for gate, shard in zip(gates, shards):
+        for gate, shard in zip(gates, self.shards):
             gate.attach_ems(shard.pump)
         self.emcall = ShardedEMCall(gates, self.cores)
         self.emcall.attach_shard_router(self.shard_pool.place_ecreate,
@@ -289,23 +284,19 @@ class HyperTEESystem:
         Returns self for chaining.
         """
         self.obs.enable()
-        self.mailbox.obs = self.obs
         self.emcall.obs = self.obs
-        self.ems.obs = self.obs
-        self.pool.obs = self.obs
-        self.swap.obs = self.obs
         self.crypto.obs = self.obs
         self.os.obs = self.obs
         for core in self.cores:
             core.tlb.obs = self.obs
             core.ptw.obs = self.obs
+        for shard in self.shards:
+            shard.mailbox.obs = self.obs
+            shard.runtime.obs = self.obs
+            shard.pool.obs = self.obs
+            shard.swap.obs = self.obs
         if self.shard_pool is not None:
             self.shard_pool.obs = self.obs
-            for shard in self.shard_pool.shards[1:]:
-                shard.mailbox.obs = self.obs
-                shard.runtime.obs = self.obs
-                shard.pool.obs = self.obs
-                shard.swap.obs = self.obs
         return self
 
     def enable_fault_injection(self, plan) -> "HyperTEESystem":
@@ -325,12 +316,11 @@ class HyperTEESystem:
             plan = FaultPlan.empty()
         self.faults = FaultInjector(plan, obs=self.obs)
         self.ihub.attach_faults(self.faults)
-        self.ems.faults = self.faults
         self.emcall.faults = self.faults
+        for shard in self.shards:
+            shard.runtime.faults = self.faults
         if self.shard_pool is not None:
             self.shard_pool.faults = self.faults
-            for shard in self.shard_pool.shards[1:]:
-                shard.runtime.faults = self.faults
         return self
 
     def enable_sanitizers(
@@ -352,25 +342,21 @@ class HyperTEESystem:
 
         san = SanitizerManager(sanitizers, obs=self.obs)
         self.san = san
-        self.mailbox.san = san
         self.memory.san = san
         self.engine.san = san
         self.keys.san = san
-        self.pool.san = san
-        self.ownership.san = san
         self.sealing.san = san
         self.emcall.san = san
-        self.ems.san = san
         self.crypto.san = san
         self.obs.flightrec.san = san
         codec.set_sanitizer(san)
+        for shard in self.shards:
+            shard.mailbox.san = san
+            shard.pool.san = san
+            shard.ownership.san = san
+            shard.runtime.san = san
         if self.shard_pool is not None:
             self.shard_pool.san = san
-            for shard in self.shard_pool.shards[1:]:
-                shard.mailbox.san = san
-                shard.pool.san = san
-                shard.ownership.san = san
-                shard.runtime.san = san
         # The manufacturing roots are the taint sources everything else
         # derives from (EFuse.read stays readable after lock()).
         san.register_secret(self.efuse.read("EK"), "efuse-EK")
@@ -389,9 +375,7 @@ class HyperTEESystem:
     @property
     def ems_runtimes(self) -> list[EMSRuntime]:
         """Every EMS runtime on the platform (one per shard)."""
-        if self.shard_pool is None:
-            return [self.ems]
-        return [shard.runtime for shard in self.shard_pool.shards]
+        return [shard.runtime for shard in self.shards]
 
     def ems_requests_served(self) -> int:
         """Fleet-wide served-request count (shard-aware ``stats.served``)."""

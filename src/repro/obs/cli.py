@@ -41,21 +41,19 @@ from repro.eval.regenerate import ARTIFACTS, regenerate
 from repro.eval.report import render_table
 
 
-def run_instrumented_scenario(seed: int = 0x1EE7, engine: str = "reference"):
+def run_instrumented_scenario(seed: int = 0x1EE7):
     """One quickstart-style run on an observability-enabled platform.
 
     Returns the :class:`~repro.core.api.HyperTEE` facade; its system's
-    ``obs`` member holds the populated registry and tracer. ``engine``
-    selects the reference interpreter or the fast kernel — both feed the
-    same probes, so every downstream surface (metrics, trace, SLO,
-    flight recorder) works identically.
+    ``obs`` member holds the populated registry and tracer that every
+    downstream surface (metrics, trace, SLO, flight recorder) reads.
     """
     from repro.common.types import Permission, Primitive
     from repro.core.api import HyperTEE
     from repro.core.config import SystemConfig
     from repro.core.enclave import EnclaveConfig
 
-    tee = HyperTEE(SystemConfig(seed=seed, engine=engine))
+    tee = HyperTEE(SystemConfig(seed=seed))
     tee.system.enable_observability()
 
     enclave = tee.launch_enclave(b"obs scenario enclave code " * 32,
@@ -83,7 +81,7 @@ def run_instrumented_scenario(seed: int = 0x1EE7, engine: str = "reference"):
 def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.obs.export import render_json, render_prometheus
 
-    tee = run_instrumented_scenario(seed=args.seed, engine=args.engine)
+    tee = run_instrumented_scenario(seed=args.seed)
     obs = tee.system.obs
     if not obs.primitive_latency_table():
         print("error: the instrumented run recorded no primitive samples; "
@@ -124,7 +122,7 @@ def _flatten(stats: dict, prefix: str = "") -> list[tuple[str, object]]:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    tee = run_instrumented_scenario(seed=args.seed, engine=args.engine)
+    tee = run_instrumented_scenario(seed=args.seed)
     tracer = tee.system.obs.tracer
     try:
         tracer.write_chrome_json(args.out)
@@ -147,7 +145,7 @@ def _cmd_regen(args: argparse.Namespace) -> int:
 def _cmd_slo(args: argparse.Namespace) -> int:
     import json as _json
 
-    tee = run_instrumented_scenario(seed=args.seed, engine=args.engine)
+    tee = run_instrumented_scenario(seed=args.seed)
     rows = tee.system.obs.slo.report()
     if not rows:
         print("error: the instrumented run recorded no SLO samples",
@@ -175,7 +173,7 @@ def _cmd_slo(args: argparse.Namespace) -> int:
 
 
 def _cmd_flightrec(args: argparse.Namespace) -> int:
-    tee = run_instrumented_scenario(seed=args.seed, engine=args.engine)
+    tee = run_instrumented_scenario(seed=args.seed)
     recorder = tee.system.obs.flightrec
     if args.action == "dump":
         try:
@@ -249,7 +247,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     try:
         cfg = ServeConfig(shards=args.shards, workers=args.workers,
-                          ops=args.ops, seed=args.seed, engine=args.engine,
+                          ops=args.ops, seed=args.seed,
                           transfer_every=args.transfer_every,
                           chaos=args.chaos,
                           sanitize=parse_sanitizer_list(args.sanitize))
@@ -323,9 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.add_argument("--format", choices=("table", "prom", "json"),
                          default="table")
     metrics.add_argument("--seed", type=int, default=0x1EE7)
-    metrics.add_argument("--engine", choices=("reference", "fast"),
-                        default="reference",
-                        help="execution engine for the scenario")
     metrics.set_defaults(func=_cmd_metrics)
 
     trace = sub.add_parser(
@@ -333,9 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--out", default="hypertee-trace.json",
                        help="output path for the trace_event JSON")
     trace.add_argument("--seed", type=int, default=0x1EE7)
-    trace.add_argument("--engine", choices=("reference", "fast"),
-                      default="reference",
-                      help="execution engine for the scenario")
     trace.set_defaults(func=_cmd_trace)
 
     slo = sub.add_parser(
@@ -344,9 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     slo.add_argument("--json", action="store_true",
                      help="machine-readable report rows")
     slo.add_argument("--seed", type=int, default=0x1EE7)
-    slo.add_argument("--engine", choices=("reference", "fast"),
-                    default="reference",
-                    help="execution engine for the scenario")
     slo.set_defaults(func=_cmd_slo)
 
     flightrec = sub.add_parser(
@@ -356,9 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     flightrec.add_argument("--out", default="hypertee-flightrec.json",
                            help="output path for the dump document")
     flightrec.add_argument("--seed", type=int, default=0x1EE7)
-    flightrec.add_argument("--engine", choices=("reference", "fast"),
-                          default="reference",
-                          help="execution engine for the scenario")
     flightrec.set_defaults(func=_cmd_flightrec)
 
     bench = sub.add_parser(
@@ -391,9 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--ops", type=int, default=400,
                        help="total serve steps (default 400)")
     serve.add_argument("--seed", type=int, default=0x5E12)
-    serve.add_argument("--engine", choices=("reference", "fast"),
-                       default="reference",
-                       help="execution engine for the platform")
     serve.add_argument("--transfer-every", type=int, default=3,
                        help="migrate every Nth enclave generation between "
                             "shards (default 3)")

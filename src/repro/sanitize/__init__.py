@@ -12,9 +12,9 @@ live modelled platform, with ASan-style diagnostics:
 * **OWN** — fleet-wide ownership epoch checking (dynamic TEE009/010):
   double-grants across shard tables, raw writes inside a transfer
   prepare/commit window, and unverified-manifest mutations.
-* **DET** — lockstep divergence detection (dynamic TEE011): the
-  reference and fast engines run the same scenario and the event
-  trails are bisected to the first divergence.
+* **DET** — replay divergence detection: the same seeded scenario is
+  replayed on two fresh platforms and the event trails are bisected to
+  the first divergence.
 
 Sanitizers are strictly opt-in (``HyperTEESystem.enable_sanitizers``)
 and observe-only: with them disabled the platform is bit-identical.

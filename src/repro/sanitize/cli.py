@@ -9,11 +9,12 @@ Modes::
     python -m repro sanitize --report teesan.json      # CI artifact
 
 ``--check`` (the default) runs the single-EMS lifecycle scenario, the
-sharded transfer scenario, and the DET lockstep comparison, then exits
+sharded transfer scenario, and the DET replay comparison, then exits
 non-zero if any sanitizer fired. The ``--seed-violation`` modes
-deliberately break one invariant each and *expect* the matching
-diagnostic — CI runs all three so a silently-disabled sanitizer fails
-the job, mirroring teelint's seeded-violation smoke.
+deliberately break one invariant each and exit with the ordinary
+violation status: 1 when the matching detector fires, 0 when it misses.
+CI runs all three and fails on any exit 0, so a silently-disabled
+sanitizer fails the job, mirroring teelint's seeded-violation smoke.
 """
 
 from __future__ import annotations
@@ -41,23 +42,21 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed-violation", default=None,
                         choices=SANITIZERS, metavar="NAME",
                         help="deliberately break one invariant and expect "
-                             "the matching diagnostic (self-check; exits 1)")
+                             "the matching diagnostic (self-check; exits 1 "
+                             "when the detector fires, 0 when it misses)")
     parser.add_argument("--seed", type=int, default=0x1EE7)
-    parser.add_argument("--engine", choices=("reference", "fast"),
-                        default="reference",
-                        help="execution engine for the scenarios")
     parser.add_argument("--report", default=None, metavar="PATH",
                         help="write the JSON run report to PATH")
     parser.add_argument("--json", action="store_true",
                         help="print the machine-readable run report")
 
 
-def _seed_secret_violation(seed: int, engine: str) -> SanitizerManager:
+def _seed_secret_violation(seed: int) -> SanitizerManager:
     """Leak a freshly-minted sealing key onto the raw DRAM bus."""
     from repro.core.config import SystemConfig
     from repro.core.system import HyperTEESystem
 
-    system = HyperTEESystem(SystemConfig(seed=seed, engine=engine))
+    system = HyperTEESystem(SystemConfig(seed=seed))
     manager = system.enable_sanitizers(("secret",)).san
     leaked = system.keys.sealing_key(b"seeded-violation")
     # The deliberate bug: plaintext key material written bus-raw into
@@ -94,25 +93,21 @@ def run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.seed_violation == "det":
-        report = run_lockstep(seed=args.seed, perturb_event=3)
-        print(format_lockstep_report(report))
-        if report["ok"]:
-            print("error: DET lockstep passed a perturbed trail",
-                  file=sys.stderr)
-            return 1
-        return 1  # the expected diagnostic fired; self-checks want exit 1
-
-    if args.seed_violation in ("secret", "own"):
-        if args.seed_violation == "secret":
-            manager = _seed_secret_violation(args.seed, args.engine)
+    if args.seed_violation is not None:
+        if args.seed_violation == "det":
+            report = run_lockstep(seed=args.seed, perturb_event=3)
+            print(format_lockstep_report(report))
+            ok = report["ok"]
         else:
-            manager = _seed_own_violation(args.seed)
-        print(manager.report_text())
-        if manager.ok():
+            seeders = {"secret": _seed_secret_violation,
+                       "own": _seed_own_violation}
+            manager = seeders[args.seed_violation](args.seed)
+            print(manager.report_text())
+            ok = manager.ok()
+        if ok:
             print(f"error: the seeded {args.seed_violation} violation "
                   "went undetected", file=sys.stderr)
-        return 1
+        return 0 if ok else 1
 
     # -- the clean check ---------------------------------------------------------
     from repro.sanitize.scenario import (
@@ -125,7 +120,6 @@ def run(args: argparse.Namespace) -> int:
     managers = []
     if active:
         manager = run_sanitized_scenario(seed=args.seed,
-                                         engine=args.engine,
                                          sanitizers=active)
         managers.append(("lifecycle", manager))
         shard_manager = run_sanitized_shard_scenario(seed=args.seed,
@@ -141,9 +135,8 @@ def run(args: argparse.Namespace) -> int:
         ok = ok and det_report["ok"]
 
     document = {
-        "schema": "hypertee.teesan.run/1",
+        "schema": "hypertee.teesan.run/2",
         "seed": args.seed,
-        "engine": args.engine,
         "sanitizers": list(sanitizers),
         "ok": ok,
         "scenarios": {label: manager.to_dict()

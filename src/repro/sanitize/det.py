@@ -1,16 +1,18 @@
-"""The DET sanitizer: dynamic TEE011 (lockstep divergence).
+"""The DET sanitizer: replay determinism (lockstep divergence).
 
-The repository carries two execution engines — the reference
-interpreter and the vectorized fast kernel — pinned bit-for-bit by the
-differential test grid. DET re-proves that pin *on a live workload*:
-it runs the same deterministic scenario on both engines, records an
-event trail per completed invocation (primitive, status, CS cycles,
-EMS service cycles), and bisects to the first divergent event.
+The model promises that one seed gives one run, bit for bit. DET
+re-proves that promise *on a live workload*: it replays the same
+deterministic scenario twice, each time on a freshly booted platform,
+records an event trail per completed invocation (primitive, status,
+CS cycles, EMS service cycles), and bisects the two trails to the first
+divergent event. State that leaks from one platform into the next
+(module globals, caches keyed on live objects, wall-clock or
+process-hash dependence) shows up as a divergence.
 
-The trail is collected by the :class:`DetTrail` hook sink (fed from
-the EMCall gates of both engines at the same probe point the
-observability layer uses), so the comparison sees exactly what a user
-of either engine would: cycle-accurate, in invocation order.
+The trail is collected by the :class:`DetTrail` hook sink, fed from the
+EMCall gate at the same probe point the observability layer uses, so
+the comparison sees exactly what a user would: cycle-accurate, in
+invocation order.
 
 ``perturb_event`` deliberately skews one recorded cost on the second
 trail — the seeded-violation self-check proving the detector can fail.
@@ -68,23 +70,20 @@ def _entry_dict(trail: list[tuple], index: int) -> dict[str, Any] | None:
 
 
 def run_lockstep(seed: int = 0x1EE7,
-                 engines: tuple[str, str] = ("reference", "fast"),
                  perturb_event: int | None = None) -> dict[str, Any]:
-    """Run the sanitized scenario on both engines and compare trails.
+    """Replay the sanitized scenario twice and compare the trails.
 
     Returns the lockstep report document. ``perturb_event`` bumps one
-    recorded cost on the second engine's trail before comparison (the
+    recorded cost on the second replay's trail before comparison (the
     detector's own negative self-check; the modelled systems are never
     touched).
     """
     from repro.sanitize.scenario import run_sanitized_scenario
 
-    trails: list[list[tuple]] = []
-    for engine in engines:
-        manager = run_sanitized_scenario(seed=seed, engine=engine,
-                                         sanitizers=("det",))
-        trails.append(list(manager.det.entries))
-    trail_a, trail_b = trails
+    trail_a, trail_b = (
+        list(run_sanitized_scenario(seed=seed, sanitizers=("det",))
+             .det.entries)
+        for _ in range(2))
     if perturb_event is not None and 0 <= perturb_event < len(trail_b):
         primitive, status, cs_cycles, service_cycles = \
             trail_b[perturb_event]
@@ -92,9 +91,8 @@ def run_lockstep(seed: int = 0x1EE7,
                                   service_cycles)
     divergence = bisect_divergence(trail_a, trail_b)
     return {
-        "schema": "hypertee.teesan.det/1",
+        "schema": "hypertee.teesan.det/2",
         "seed": seed,
-        "engines": list(engines),
         "events": [len(trail_a), len(trail_b)],
         "ok": divergence is None,
         "first_divergence": divergence,
@@ -108,19 +106,16 @@ def run_lockstep(seed: int = 0x1EE7,
 
 def format_lockstep_report(report: dict[str, Any]) -> str:
     """Human rendering; ASan-style ERROR line on divergence."""
-    engines = report["engines"]
     if report["ok"]:
-        return (f"TeeSan DET: {engines[0]} and {engines[1]} ran "
-                f"{report['events'][0]} events in lockstep "
-                f"(seed {report['seed']:#x})")
+        return (f"TeeSan DET: two replays ran {report['events'][0]} "
+                f"events in lockstep (seed {report['seed']:#x})")
     index = report["first_divergence"]
     lines = [
-        f"ERROR: TeeSan LOCKSTEP-DIVERGENCE: engines {engines[0]} and "
-        f"{engines[1]} diverged at event {index} "
-        f"(seed {report['seed']:#x})",
+        f"ERROR: TeeSan LOCKSTEP-DIVERGENCE: replays diverged at event "
+        f"{index} (seed {report['seed']:#x})",
     ]
-    for name, entry in ((engines[0], report["diverged_a"]),
-                        (engines[1], report["diverged_b"])):
+    for name, entry in (("replay 1", report["diverged_a"]),
+                        ("replay 2", report["diverged_b"])):
         if entry is None:
             lines.append(f"    {name}: trail ended before event {index}")
         else:

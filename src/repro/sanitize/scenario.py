@@ -9,7 +9,7 @@ any workload runs, so every mint/claim/wire event is observed.
 from __future__ import annotations
 
 
-def run_sanitized_scenario(seed: int = 0x1EE7, engine: str = "reference",
+def run_sanitized_scenario(seed: int = 0x1EE7,
                            sanitizers: tuple[str, ...] = ("secret", "own")):
     """One full lifecycle under sanitizers; returns the manager.
 
@@ -22,7 +22,7 @@ def run_sanitized_scenario(seed: int = 0x1EE7, engine: str = "reference",
     from repro.core.config import SystemConfig
     from repro.core.enclave import EnclaveConfig
 
-    tee = HyperTEE(SystemConfig(seed=seed, engine=engine))
+    tee = HyperTEE(SystemConfig(seed=seed))
     tee.system.enable_observability()
     manager = tee.system.enable_sanitizers(sanitizers).san
 

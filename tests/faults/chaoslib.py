@@ -56,7 +56,8 @@ def chaos_sanitizers() -> tuple[str, ...]:
     comma list. The default runs SECRET+OWN under every chaos plan —
     the sanitizers assert the decoupling invariants *while* the fault
     injector is actively trying to break them. DET is omitted: it
-    compares engines, which a single chaos platform doesn't have.
+    replays its own scenario on two fresh platforms rather than watching
+    a live one.
     """
     from repro.sanitize.manager import parse_sanitizer_list
 

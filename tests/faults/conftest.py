@@ -1,10 +1,8 @@
-"""Engine parametrization for the chaos suite.
+"""The ``engine`` fixture of the chaos suite.
 
-Every chaos scenario runs on both execution engines: fault handling is
-exactly the territory where the fast kernel delegates back to the
-reference interpreter (``FastEMCall`` refuses batching when an injector
-is wired), so the fast cells exercise that complete-delegation seam plus
-the fast encryption engine, which *does* stay active under chaos.
+Every chaos scenario runs on the one public engine, the reference
+interpreter. The fixture has a single value and exists only so the test
+ids keep their ``[reference-…]`` prefix; the tests do not pass it on.
 """
 
 from __future__ import annotations
@@ -12,6 +10,6 @@ from __future__ import annotations
 import pytest
 
 
-@pytest.fixture(params=("reference", "fast"))
+@pytest.fixture(params=("reference",))
 def engine(request) -> str:
     return request.param

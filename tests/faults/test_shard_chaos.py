@@ -11,7 +11,7 @@ fault points:
   prepare and commit; nothing may double-apply and the fleet's frame
   accounting must balance to the page.
 
-Marked ``chaos``; both engines via the suite-wide ``engine`` fixture.
+Marked ``chaos``; ids carry the suite-wide ``engine`` fixture.
 """
 
 from __future__ import annotations
@@ -49,8 +49,7 @@ def _shard_outage_plan(seed: int) -> FaultPlan:
 @pytest.mark.parametrize("seed", range(chaos_seed_count()))
 def test_shard_outages_terminate(seed: int, engine: str):
     """Shard freezes under degraded transport: no hangs, no corruption."""
-    tee = chaos_tee(_shard_outage_plan(seed), engine=engine,
-                    ems_shards=SHARDS)
+    tee = chaos_tee(_shard_outage_plan(seed), ems_shards=SHARDS)
     with flight_guard(tee, label="shard-outage"):
         readbacks = run_lifecycle(tee, enclaves=8)
         assert readbacks == [f"secret-of-{i}".encode() for i in range(8)]
@@ -65,7 +64,7 @@ def test_kitchen_sink_on_fleet(seed: int, engine: str):
     plan = FaultPlan(seed=seed, rules=plan.rules + (
         FaultRule("ems.shard.fail", probability=0.03, magnitude=2),
     ))
-    tee = chaos_tee(plan, engine=engine, ems_shards=SHARDS)
+    tee = chaos_tee(plan, ems_shards=SHARDS)
     with flight_guard(tee, label="fleet-kitchen-sink"):
         readbacks = run_lifecycle(tee, enclaves=6)
         assert readbacks == [f"secret-of-{i}".encode() for i in range(6)]
@@ -86,7 +85,7 @@ def test_interrupted_transfers_never_double_apply(engine: str):
     tee = chaos_tee(
         FaultPlan(seed=0xC0, rules=(
             FaultRule("ems.transfer.interrupt", probability=0.5),)),
-        engine=engine, ems_shards=SHARDS)
+        ems_shards=SHARDS)
     pool = tee.system.shard_pool
     enclaves = [
         tee.launch_enclave(f"xfer-{i}".encode() * 16,
@@ -154,7 +153,7 @@ def test_table6_unchanged_with_idle_shard_points(engine: str):
                 FaultRule("ems.shard.fail", probability=0.0),
                 FaultRule("ems.transfer.interrupt", probability=1.0),
             )),
-            observability=False, engine=engine, ems_shards=SHARDS))
+            observability=False, ems_shards=SHARDS))
 
     outcomes = {channel: result.outcome
                 for channel, result in evaluate_tee(sharded_hypertee).items()}

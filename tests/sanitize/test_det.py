@@ -1,9 +1,8 @@
-"""The DET sanitizer: bisection laws and the engine lockstep check.
+"""The DET sanitizer: bisection laws and the replay lockstep check.
 
 ``bisect_divergence`` is pinned against a linear-scan oracle with
-hypothesis; the integration tests run the real reference-vs-fast
-lockstep and its seeded perturbation — the dynamic twin of teelint's
-TEE011 (engine-parity) concern.
+hypothesis; the integration tests replay the reference scenario twice
+on fresh platforms and check the seeded perturbation is bisected.
 """
 
 from __future__ import annotations
@@ -61,13 +60,15 @@ def test_length_mismatch_diverges_at_the_shorter_end():
     assert bisect_divergence(trail[:2], trail) == 2
 
 
-def test_reference_and_fast_run_in_lockstep():
+def test_reference_replays_run_in_lockstep():
     report = run_lockstep()
+    assert report["schema"] == "hypertee.teesan.det/2"
     assert report["ok"] is True
     assert report["first_divergence"] is None
     assert report["events"][0] == report["events"][1] > 0
     text = format_lockstep_report(report)
-    assert "in lockstep" in text and "ERROR" not in text
+    assert "two replays ran" in text and "in lockstep" in text
+    assert "ERROR" not in text
 
 
 def test_perturbed_lockstep_is_detected_and_bisected():
