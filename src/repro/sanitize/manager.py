@@ -32,7 +32,7 @@ from repro.sanitize.report import (
     format_violation,
     redact,
 )
-from repro.sanitize.shadow import ShadowMap, TaintRegistry
+from repro.sanitize.shadow import ScanStats, ShadowMap, TaintRegistry
 
 #: Sanitizer names accepted by the CLI and the attach helpers.
 SANITIZERS = ("secret", "own", "det")
@@ -56,8 +56,13 @@ def parse_sanitizer_list(spec: str) -> tuple[str, ...]:
 
 
 @dataclasses.dataclass
-class SanitizeStats:
-    """Work counters, surfaced through the obs metrics registry."""
+class SanitizeStats(ScanStats):
+    """Work counters, surfaced through the obs metrics registry.
+
+    The secret-scan probe counters (``scan_words``, ``scan_confirms``)
+    come from :class:`~repro.sanitize.shadow.ScanStats`; the registry
+    counts into this object.
+    """
 
     events: int = 0
     secrets_registered: int = 0
@@ -82,9 +87,9 @@ class SanitizerManager:
                     f"unknown sanitizer {name!r} "
                     f"(choose from {SANITIZERS})")
         self.enabled = tuple(dict.fromkeys(sanitizers))
-        self.registry = TaintRegistry()
-        self.shadow = ShadowMap()
         self.stats = SanitizeStats()
+        self.registry = TaintRegistry(self.stats)
+        self.shadow = ShadowMap()
         self.violations: list[Violation] = []
         self.obs = obs
         self._trail: collections.deque[str] = collections.deque(
